@@ -47,14 +47,8 @@ fn main() {
     let reference = paper_reference();
     for (design, paper) in table1_designs().iter().zip(reference) {
         let row = measure_design(design, backend, bmc);
-        let reorder = match &row.reorder {
-            Some(r) if r.count > 0 || r.compactions > 0 => {
-                format!("  [{} sifts, {} compactions]", r.count, r.compactions)
-            }
-            _ => String::new(),
-        };
         println!(
-            "{:<18} {:>5} {:>9} {:>9}  {:>12.4} {:>12.4} {:>12.4}   {:>8.2} {:>8.2} {:>8.2}{}",
+            "{:<18} {:>5} {:>9} {:>9}  {:>12.4} {:>12.4} {:>12.4}   {:>8.2} {:>8.2} {:>8.2}",
             row.circuit,
             row.num_rtl,
             row.backend.to_string(),
@@ -65,7 +59,6 @@ fn main() {
             paper.2,
             paper.3,
             paper.4,
-            reorder,
         );
         // The three real designs carry exactly the published property
         // counts. The toy example is published with its 2 illustrative

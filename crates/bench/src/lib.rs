@@ -75,8 +75,6 @@ pub struct TableRow {
     pub backend: Backend,
     /// The backend that ran the gap phase (per-phase `Auto` resolution).
     pub gap_backend: Backend,
-    /// Dynamic-reordering statistics of the symbolic engine, if one ran.
-    pub reorder: Option<dic_core::ReorderStats>,
     /// Worker-thread accounting of the run (resolved `--jobs` /
     /// `SPECMATCHER_JOBS`, gap-phase fan-out, fixpoint concurrency).
     pub jobs: dic_core::JobsStats,
@@ -136,7 +134,6 @@ pub fn measure_design(design: &Design, backend: Backend, bmc: BmcMode) -> TableR
         gap_find: run.timings.gap_find,
         backend: run.backend,
         gap_backend: run.gap_backend,
-        reorder: run.reorder,
         jobs: run.jobs,
         counters: run.counters,
         bmc: run.bmc,

@@ -29,9 +29,9 @@ pub const AUTO_SYMBOLIC_BITS: usize = 14;
 /// per-candidate closure products the most): amba-ahb — 7 state bits, 29
 /// conjuncts, post-reduction cost ≈ 1980 — runs its full explicit gap
 /// phase in ~8 s. The complement-edge BDD core (anchored primary
-/// products, partitioned relations, budget-scale reorder trigger) cut
-/// the same design's forced-symbolic run from ~230 s to ~40 s, but
-/// explicit still wins by ~5×, so the threshold stays above amba-ahb
+/// products, partitioned relations) cut the same design's
+/// forced-symbolic run from ~230 s to under 20 s, but explicit still
+/// wins by about 2×, so the threshold stays above amba-ahb
 /// (pre-reduction it was 800, which sent amba-ahb symbolic). The cost
 /// axis still guards genuinely wider suites; within Table 1 the
 /// state-bit axis ([`AUTO_SYMBOLIC_BITS`], mal-26's trigger) is the

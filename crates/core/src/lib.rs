@@ -73,7 +73,7 @@ pub use backend::{
     predicted_product_cost, Backend, AUTO_SYMBOLIC_BITS, AUTO_SYMBOLIC_PRODUCT_COST,
 };
 pub use bmc::{bmc_depth_from_env, BmcMode, MAX_BMC_DEPTH};
-pub use dic_symbolic::{PartitionMode, ReorderMode, ReorderStats, SymbolicOptions};
+pub use dic_symbolic::{BddGcStats, PartitionMode, ReorderMode, SymbolicOptions};
 pub use error::CoreError;
 pub use hole::{closes_gap, closure_witness, exact_hole};
 pub use intent::{close_gap_iteratively, uncovered_intent};
@@ -102,18 +102,27 @@ pub use weaken::{
 ///
 /// [`CoreError::Symbolic`] if the symbolic backend exceeds its node budget
 /// mid-analysis (the explicit backend cannot fail once built).
+pub fn primary_coverage(
+    fa: &dic_ltl::Ltl,
+    rtl: &RtlSpec,
+    model: &CoverageModel,
+) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
+    model.primary_query_anchored(rtl.formulas(), &dic_ltl::Ltl::not(fa.clone()))
+}
+
 /// Startup audit of every `SPECMATCHER_*` override with a strict parse:
 /// `SPECMATCHER_NO_REDUCE`, `SPECMATCHER_JOBS`, `SPECMATCHER_BMC_DEPTH`,
-/// `SPECMATCHER_BDD_PARTITION`, `SPECMATCHER_BDD_CLUSTER_SIZE`,
-/// `SPECMATCHER_TIMEOUT` and `SPECMATCHER_FAULT`.
-/// Returns the first offending setting's message.
+/// `SPECMATCHER_BDD_NODE_LIMIT`, `SPECMATCHER_BDD_PARTITION`,
+/// `SPECMATCHER_BDD_CLUSTER_SIZE`, `SPECMATCHER_TIMEOUT` and
+/// `SPECMATCHER_FAULT`. Returns the first offending setting's message.
 ///
-/// Model construction re-validates these fail-closed, but the library
-/// paths that merely *read* them (`reduction_enabled()`,
-/// `GapConfig::effective_jobs`, the BMC depth resolution) deliberately
-/// swallow garbage and fall back to defaults — safe only because every
-/// binary entry point calls this (or builds a model) before any of those
-/// reads. Binaries should treat an `Err` as a usage error (exit 2).
+/// Model construction re-validates the symbolic settings fail-closed, but
+/// the library paths that merely *read* the others
+/// (`reduction_enabled()`, `GapConfig::effective_jobs`, the BMC depth
+/// resolution) deliberately swallow garbage and fall back to defaults —
+/// safe only because every binary entry point calls this (or builds a
+/// model) before any of those reads. Binaries should treat an `Err` as a
+/// usage error (exit 2).
 ///
 /// # Errors
 ///
@@ -123,17 +132,8 @@ pub fn validate_env() -> Result<(), String> {
     dic_automata::reduction_from_env()?;
     backend::jobs_from_env()?;
     bmc::bmc_depth_from_env()?;
-    dic_symbolic::partition_from_env().map_err(|e| e.to_string())?;
-    dic_symbolic::cluster_size_from_env().map_err(|e| e.to_string())?;
+    SymbolicOptions::from_env().map_err(|e| e.to_string())?;
     dic_fault::timeout_from_env()?;
     dic_fault::fault_from_env()?;
     Ok(())
-}
-
-pub fn primary_coverage(
-    fa: &dic_ltl::Ltl,
-    rtl: &RtlSpec,
-    model: &CoverageModel,
-) -> Result<Option<dic_ltl::LassoWord>, CoreError> {
-    model.primary_query_anchored(rtl.formulas(), &dic_ltl::Ltl::not(fa.clone()))
 }

@@ -9,7 +9,7 @@ use crate::spec::{ArchSpec, RtlSpec};
 use dic_fsm::Kripke;
 use dic_logic::{SignalId, SignalTable};
 use dic_netlist::Module;
-use dic_symbolic::{ReorderStats, SymbolicModel, SymbolicOptions};
+use dic_symbolic::{BddGcStats, SymbolicModel, SymbolicOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -101,7 +101,7 @@ impl CoverageModel {
     /// lazily on first demand ([`CoverageModel::gap_backend`]).
     ///
     /// Symbolic-engine options come from [`SymbolicOptions::from_env`]
-    /// (with defaults: the stock node budget, dynamic reordering on); use
+    /// (with defaults: the stock node budget, clustered partitioning); use
     /// [`CoverageModel::build_with_symbolic_options`] to override them.
     ///
     /// # Errors
@@ -124,7 +124,7 @@ impl CoverageModel {
     }
 
     /// Like [`CoverageModel::build_with_backend`] with explicit symbolic
-    /// engine options (node budget, reorder mode/trigger) instead of the
+    /// engine options (node budget, partitioning) instead of the
     /// environment defaults.
     ///
     /// # Errors
@@ -488,11 +488,10 @@ impl CoverageModel {
         Ok(())
     }
 
-    /// Cumulative dynamic-reordering statistics of the symbolic engine:
-    /// `None` when no symbolic engine was ever built, `Some(zeroed)` when
-    /// it was but never reordered.
-    pub fn reorder_stats(&self) -> Option<ReorderStats> {
-        self.lock_symbolic().as_ref().map(|sym| sym.reorder_stats())
+    /// Cumulative node-store statistics of the symbolic engine: `None`
+    /// when no symbolic engine was ever built.
+    pub fn bdd_gc_stats(&self) -> Option<BddGcStats> {
+        self.lock_symbolic().as_ref().map(|sym| sym.gc_stats())
     }
 
     /// Backend-dispatched factored gap query: is some run of `M`

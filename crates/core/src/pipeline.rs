@@ -12,7 +12,7 @@ use crate::tm::{tm_for_modules, TmStyle};
 use crate::weaken::{find_gap_outcome, GapConfig, GapProperty, UnknownGap};
 use dic_logic::SignalTable;
 use dic_ltl::{LassoWord, Ltl, TemporalCube};
-use dic_symbolic::{PartitionMode, ReorderMode, ReorderStats, SymbolicOptions};
+use dic_symbolic::{BddGcStats, PartitionMode, SymbolicOptions};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -50,9 +50,8 @@ pub struct PhaseCounters {
     pub gap_find: dic_trace::CounterSnapshot,
 }
 
-/// Worker-thread accounting for the run, per phase — the parallel
-/// analogue of the reordering statistics: enough to see from a report
-/// whether the closure fan-out actually ran and how wide.
+/// Worker-thread accounting for the run, per phase: enough to see from a
+/// report whether the closure fan-out actually ran and how wide.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobsStats {
     /// The resolved worker count for candidate closure verification
@@ -185,9 +184,9 @@ pub struct CoverageRun {
     /// Whether the bounded SAT refutation tier ran ahead of the closure
     /// fixpoints (the gap-property sets are identical either way).
     pub bmc: BmcMode,
-    /// Dynamic-reordering statistics of the symbolic engine (`None` when
-    /// no symbolic engine was built for this run).
-    pub reorder: Option<ReorderStats>,
+    /// Node-store statistics of the symbolic engine (`None` when no
+    /// symbolic engine was built for this run).
+    pub bdd_gc: Option<BddGcStats>,
     /// Worker-thread accounting per phase.
     pub jobs: JobsStats,
     /// Per-phase engine counter deltas; `None` unless `dic_trace` was
@@ -230,14 +229,7 @@ impl CoverageRun {
             self.timings.tm_build,
             self.timings.gap_find
         );
-        if let Some(r) = &self.reorder {
-            if r.count > 0 || r.compactions > 0 {
-                let _ = writeln!(
-                    out,
-                    "reordering: {} sifting reorders ({} -> {} live nodes summed across sifts), {} compactions",
-                    r.count, r.nodes_before, r.nodes_after, r.compactions
-                );
-            }
+        if let Some(r) = &self.bdd_gc {
             if r.gc_collections > 0 || r.peak_nodes > 0 {
                 let _ = writeln!(
                     out,
@@ -266,20 +258,18 @@ pub struct SpecMatcher {
     config: GapConfig,
     tm_style: TmStyle,
     backend: Backend,
-    reorder: ReorderMode,
     partition: Option<PartitionMode>,
     bmc: BmcMode,
 }
 
 impl SpecMatcher {
     /// Creates a checker with the given gap-finding configuration (and the
-    /// default [`Backend::Auto`] engine selection with dynamic reordering).
+    /// default [`Backend::Auto`] engine selection).
     pub fn new(config: GapConfig) -> Self {
         SpecMatcher {
             config,
             tm_style: TmStyle::default(),
             backend: Backend::default(),
-            reorder: ReorderMode::default(),
             partition: None,
             bmc: BmcMode::default(),
         }
@@ -310,19 +300,6 @@ impl SpecMatcher {
     /// The requested backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Selects the symbolic engine's dynamic-reordering mode
-    /// ([`ReorderMode::Auto`] by default; `Off` pins the static
-    /// registration order — mostly an A/B and debugging lever).
-    pub fn with_reorder(mut self, reorder: ReorderMode) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
-    /// The requested reorder mode.
-    pub fn reorder(&self) -> ReorderMode {
-        self.reorder
     }
 
     /// Overrides the symbolic engine's transition-relation partitioning
@@ -383,9 +360,7 @@ impl SpecMatcher {
         rtl: &RtlSpec,
         table: &SignalTable,
     ) -> Result<CoverageRun, CoreError> {
-        let mut options = SymbolicOptions::from_env()
-            .map_err(CoreError::Symbolic)?
-            .with_reorder(self.reorder);
+        let mut options = SymbolicOptions::from_env().map_err(CoreError::Symbolic)?;
         if let Some(partition) = self.partition {
             options = options.with_partition(partition);
         }
@@ -595,7 +570,7 @@ impl SpecMatcher {
             backend: model.primary_backend(),
             gap_backend,
             bmc: model.bmc_mode(),
-            reorder: model.reorder_stats(),
+            bdd_gc: model.bdd_gc_stats(),
             jobs,
             counters,
             incomplete,

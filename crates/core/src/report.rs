@@ -49,16 +49,11 @@ impl CoverageRun {
         w.field_u64("num_rtl_properties", self.num_rtl_properties as u64);
         w.field_str("backend", &self.backend.to_string());
         w.field_str("gap_backend", &self.gap_backend.to_string());
-        w.key("reorder");
-        match &self.reorder {
+        w.key("bdd_gc");
+        match &self.bdd_gc {
             None => w.null(),
             Some(r) => {
                 w.open_object();
-                w.field_u64("count", r.count as u64);
-                w.field_u64("compactions", r.compactions as u64);
-                // Summed across all sifting reorders (not a single pass).
-                w.field_u64("nodes_before_total", r.nodes_before as u64);
-                w.field_u64("nodes_after_total", r.nodes_after as u64);
                 // Generational GC figures straight from the manager: how
                 // many scratch rollbacks ran and how many nodes they
                 // freed, plus the true node-count high-water mark (which

@@ -34,13 +34,13 @@
 //! of the full retain-scans the first version of this manager paid on
 //! every scratch region.
 //!
-//! Variables are registered per [`SignalId`] on first use; the variable
-//! *order* starts as the registration order but is decoupled from variable
-//! identity through a level map, so [`BddManager::reorder_groups`] can
-//! change it without re-keying anything a client holds. All operations are
-//! memoized in the manager, so [`Bdd`] handles are plain indices that are
-//! cheap to copy and compare — two handles are equal iff they denote the
-//! same function.
+//! Variables are registered per [`SignalId`] on first use, and the
+//! variable order is the registration order, fixed for the manager's
+//! lifetime: a variable's id *is* its level (0 is the top). All operations
+//! are memoized in the manager, so [`Bdd`] handles are plain indices that
+//! are cheap to copy and compare — two handles are equal iff they denote
+//! the same function — and stay valid until a [`BddManager::rollback`]
+//! frees the nodes behind them.
 
 use crate::cube::{Cube, Lit};
 use crate::expr::BoolExpr;
@@ -85,23 +85,14 @@ impl Bdd {
     }
 
     /// The underlying node index (complement bit stripped).
-    pub(crate) fn index(self) -> usize {
+    fn index(self) -> usize {
         (self.0 >> 1) as usize
-    }
-
-    pub(crate) fn raw(self) -> u32 {
-        self.0
-    }
-
-    pub(crate) fn from_raw(n: u32) -> Bdd {
-        Bdd(n)
     }
 }
 
-pub(crate) const TERMINAL_VAR: u32 = u32::MAX;
-
-/// Level of the terminal pseudo-variable: below every real level.
-pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
+/// Variable tag of the terminal node: larger than every real variable id,
+/// so the terminal sorts below every level in id comparisons.
+const TERMINAL_VAR: u32 = u32::MAX;
 
 /// Largest storable node index: one bit of the handle is the complement
 /// tag.
@@ -110,10 +101,10 @@ const MAX_NODE_INDEX: usize = (u32::MAX >> 1) as usize;
 /// An interior node. `lo` and `hi` are *edges* (complement bit included);
 /// the canonical-form invariant keeps `hi` regular.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Node {
-    pub(crate) var: u32,
-    pub(crate) lo: u32,
-    pub(crate) hi: u32,
+struct Node {
+    var: u32,
+    lo: u32,
+    hi: u32,
 }
 
 /// One operation memo split into old/young generations around the
@@ -193,23 +184,18 @@ impl<K: Eq + std::hash::Hash> GenCache<K> {
 /// ```
 #[derive(Debug, Default)]
 pub struct BddManager {
-    pub(crate) nodes: Vec<Node>,
+    nodes: Vec<Node>,
     /// Unique table: `(var, lo, hi)` in canonical form → node index.
-    pub(crate) unique: HashMap<(u32, u32, u32), u32>,
+    unique: HashMap<(u32, u32, u32), u32>,
     ite_cache: GenCache<(u32, u32, u32)>,
     var_to_signal: Vec<SignalId>,
     signal_to_var: HashMap<SignalId, u32>,
-    /// Variable id → level in the current order (level 0 is the top).
-    /// Identity at registration time; permuted by reordering.
-    pub(crate) var_to_level: Vec<u32>,
-    /// Level → variable id (the inverse of `var_to_level`).
-    pub(crate) level_to_var: Vec<u32>,
     /// Interned variable sets for [`BddManager::and_exists`], each sorted
-    /// by current level (re-sorted after every reorder).
-    pub(crate) var_sets: Vec<Vec<u32>>,
+    /// by variable id (the traversal order).
+    var_sets: Vec<Vec<u32>>,
     /// Interned variable pairings for [`BddManager::rename`], sorted by
-    /// source variable id (level-independent).
-    pub(crate) pairings: Vec<Vec<(u32, u32)>>,
+    /// source variable id.
+    pairings: Vec<Vec<(u32, u32)>>,
     /// Memo for `and_exists`, keyed by `(set, f, g)` with `f <= g`.
     and_exists_cache: GenCache<(u32, u32, u32)>,
     /// Memo for `rename`, keyed by `(pairing, f)` with `f` regular
@@ -217,7 +203,7 @@ pub struct BddManager {
     rename_cache: GenCache<(u32, u32)>,
     /// Node count at the oldest outstanding checkpoint: entries wholly
     /// below it live in the old memo generation. `None` = no checkpoint
-    /// taken since the last rebuild.
+    /// taken yet.
     gen_floor: Option<u32>,
     /// High-water mark of the node store, *including* scratch regions that
     /// were later rolled back (the trace gauge only sees peaks while
@@ -279,29 +265,10 @@ impl BddManager {
             return v;
         }
         let v = u32::try_from(self.var_to_signal.len()).expect("too many BDD variables");
+        // New variables enter at the bottom of the order.
         self.var_to_signal.push(signal);
         self.signal_to_var.insert(signal, v);
-        // New variables enter at the bottom of the current order.
-        self.var_to_level.push(v);
-        self.level_to_var.push(v);
-        debug_assert_eq!(self.var_to_level.len(), self.var_to_signal.len());
         v
-    }
-
-    /// The level (position in the current variable order, 0 = top) of a
-    /// registered variable. Levels change under
-    /// [`BddManager::reorder_groups`]; variable ids never do.
-    pub fn level_of(&self, var: u32) -> u32 {
-        if var == TERMINAL_VAR {
-            TERMINAL_LEVEL
-        } else {
-            self.var_to_level[var as usize]
-        }
-    }
-
-    /// The current variable order, top level first.
-    pub fn var_order(&self) -> &[u32] {
-        &self.level_to_var
     }
 
     /// The signal behind a variable index.
@@ -331,8 +298,7 @@ impl BddManager {
         self.gc_collections
     }
 
-    /// Total nodes freed by scratch-region rollbacks (reorder/compaction
-    /// rebuilds are counted separately by their [`crate::ReorderOutcome`]).
+    /// Total nodes freed by scratch-region rollbacks.
     pub fn gc_freed_nodes(&self) -> usize {
         self.gc_freed
     }
@@ -357,13 +323,6 @@ impl BddManager {
         self.ite_cache.clear();
         self.and_exists_cache.clear();
         self.rename_cache.clear();
-    }
-
-    /// Resets the generational split after a rebuild replaced the node
-    /// store (reorder/compact): all memos are gone, no floor is set.
-    pub(crate) fn reset_generations(&mut self) {
-        self.clear_op_caches();
-        self.gen_floor = None;
     }
 
     /// A point-in-time marker of the node store for
@@ -451,13 +410,11 @@ impl BddManager {
     /// returning its handle. Registering the same set again returns the
     /// existing handle.
     pub fn register_var_set(&mut self, vars: &[u32]) -> VarSetId {
-        // Sets are kept sorted by *current level* (the traversal order
-        // `and_exists` needs); equal sets sort identically under any one
-        // order, so interning still dedups. Reordering re-sorts every set.
+        // Sorted by id — the level order `and_exists` traverses — so equal
+        // sets intern to one handle.
         let mut sorted: Vec<u32> = vars.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        sorted.sort_by_key(|&v| self.var_to_level[v as usize]);
         if let Some(i) = self.var_sets.iter().position(|s| *s == sorted) {
             return VarSetId(i as u32);
         }
@@ -503,13 +460,11 @@ impl BddManager {
             }
             return Bdd(r);
         }
-        let (fv, gv) = (self.top_var(f), self.top_var(g));
-        let v = if self.level_of(fv) <= self.level_of(gv) { fv } else { gv };
-        let v_level = self.level_of(v);
+        let v = self.top_var(f).min(self.top_var(g));
         // Quantified variables above the current level cannot occur below
         // (`vars` is sorted by level).
         let mut from = from;
-        while from < vars.len() && self.level_of(vars[from]) < v_level {
+        while from < vars.len() && vars[from] < v {
             from += 1;
         }
         let (f0, f1) = self.cofactors(f, v);
@@ -538,14 +493,12 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics unless the pairing is *order-preserving* under the current
-    /// variable order: sorting sources by level must also sort the targets
-    /// by level, and no target may collide with a source of a different
-    /// pair. (Current/next state variables allocated interleaved satisfy
-    /// this by construction; reordering preserves it as long as each
-    /// current/next pair moves as one block — exactly the group constraint
-    /// of [`BddManager::reorder_groups`]. The restriction is what keeps
-    /// renaming a single linear rebuild instead of a general compose.)
+    /// Panics unless the pairing is *order-preserving*: sorting sources by
+    /// level must also sort the targets by level, and no target may collide
+    /// with a source of a different pair. (Current/next state variables
+    /// allocated interleaved satisfy this by construction. The restriction
+    /// is what keeps renaming a single linear rebuild instead of a general
+    /// compose.)
     pub fn register_pairing(&mut self, pairs: &[(u32, u32)]) -> PairingId {
         let mut sorted: Vec<(u32, u32)> = pairs.to_vec();
         sorted.sort_unstable();
@@ -556,8 +509,15 @@ impl BddManager {
                 "pairing maps variable {} twice",
                 w[0].0
             );
+            assert!(
+                w[0].1 < w[1].1,
+                "pairing is not order-preserving: {} -> {} but {} -> {}",
+                w[0].0,
+                w[0].1,
+                w[1].0,
+                w[1].1
+            );
         }
-        self.assert_pairing_monotone(&sorted);
         for &(from, to) in &sorted {
             assert!(
                 from == to || sorted.binary_search_by_key(&to, |&(f, _)| f).is_err(),
@@ -569,24 +529,6 @@ impl BddManager {
         }
         self.pairings.push(sorted);
         PairingId((self.pairings.len() - 1) as u32)
-    }
-
-    /// Checks that a pairing is order-preserving under the *current* levels:
-    /// walking the pairs by source level, the target levels must increase.
-    /// Called at registration and re-checked (debug) after every reorder.
-    pub(crate) fn assert_pairing_monotone(&self, pairs: &[(u32, u32)]) {
-        let mut by_level: Vec<(u32, u32)> = pairs.to_vec();
-        by_level.sort_by_key(|&(from, _)| self.level_of(from));
-        for w in by_level.windows(2) {
-            assert!(
-                self.level_of(w[0].1) < self.level_of(w[1].1),
-                "pairing is not order-preserving: {} -> {} but {} -> {}",
-                w[0].0,
-                w[0].1,
-                w[1].0,
-                w[1].1
-            );
-        }
     }
 
     /// Renames variables of `f` according to a registered pairing
@@ -628,8 +570,7 @@ impl BddManager {
             Err(_) => n.var,
         };
         debug_assert!(
-            self.level_of(self.top_var(lo)) > self.level_of(var)
-                && self.level_of(self.top_var(hi)) > self.level_of(var),
+            self.top_var(lo) > var && self.top_var(hi) > var,
             "pairing broke the variable order at {var}"
         );
         let r = self.mk(var, lo, hi);
@@ -684,7 +625,7 @@ impl BddManager {
         self.nodes[f.index()]
     }
 
-    pub(crate) fn top_var(&self, f: Bdd) -> u32 {
+    fn top_var(&self, f: Bdd) -> u32 {
         self.nodes[f.index()].var
     }
 
@@ -699,16 +640,7 @@ impl BddManager {
     /// The topmost (smallest-level) variable among the roots of `f`, `g`,
     /// `h` — the branch variable of the `ite` recursion.
     fn top_of_three(&self, f: Bdd, g: Bdd, h: Bdd) -> u32 {
-        let mut v = self.top_var(f);
-        let mut lv = self.level_of(v);
-        for cand in [self.top_var(g), self.top_var(h)] {
-            let cl = self.level_of(cand);
-            if cl < lv {
-                v = cand;
-                lv = cl;
-            }
-        }
-        v
+        self.top_var(f).min(self.top_var(g)).min(self.top_var(h))
     }
 
     /// Low/high cofactors of `f` with respect to variable `var`, assuming
@@ -859,7 +791,7 @@ impl BddManager {
 
     fn restrict_var(&mut self, f: Bdd, var: u32, value: bool) -> Bdd {
         let fv = self.top_var(f);
-        if self.level_of(fv) > self.level_of(var) {
+        if fv > var {
             // f does not depend on var (or is terminal).
             return f;
         }
@@ -981,7 +913,7 @@ impl BddManager {
     }
 
     /// The signals `f` actually depends on, in registration (variable-id)
-    /// order — stable across reorders.
+    /// order.
     pub fn support(&self, f: Bdd) -> Vec<SignalId> {
         self.support_vars(f)
             .into_iter()
@@ -990,7 +922,7 @@ impl BddManager {
     }
 
     /// The variable indices `f` actually depends on, in registration
-    /// (variable-id) order — stable across reorders.
+    /// (variable-id) order.
     ///
     /// Like [`BddManager::support`] but in terms of raw variables, for
     /// callers (the symbolic engine) whose variables are not all backed by
@@ -1121,6 +1053,13 @@ impl BddManager {
                 x << n
             }
         }
+        /// The level of `f`'s root, with the terminal at level `nvars`.
+        fn level(man: &BddManager, f: Bdd, nvars: u32) -> u32 {
+            match man.top_var(f) {
+                TERMINAL_VAR => nvars,
+                v => v,
+            }
+        }
         fn go(
             man: &BddManager,
             f: Bdd,
@@ -1140,8 +1079,9 @@ impl BddManager {
             let (lo_f, hi_f) = man.children(f);
             let lo = go(man, lo_f, nvars, cache);
             let hi = go(man, hi_f, nvars, cache);
-            let skipped_lo = man.level_gap(v, lo_f, nvars);
-            let skipped_hi = man.level_gap(v, hi_f, nvars);
+            // Variables skipped between a node and its child are free.
+            let skipped_lo = level(man, lo_f, nvars) - v - 1;
+            let skipped_hi = level(man, hi_f, nvars) - v - 1;
             let c = shl_sat(lo, skipped_lo).saturating_add(shl_sat(hi, skipped_hi));
             cache.insert(f.0, c);
             c
@@ -1149,26 +1089,7 @@ impl BddManager {
         let mut cache = HashMap::new();
         let total = go(self, f, nvars, &mut cache);
         // Account for variables above the root.
-        shl_sat(total, self.level_gap_root(f, nvars))
-    }
-
-    fn level_gap(&self, var: u32, child: Bdd, nvars: u32) -> u32 {
-        let child_var = self.top_var(child);
-        let child_level = if child_var == TERMINAL_VAR {
-            nvars
-        } else {
-            self.level_of(child_var)
-        };
-        child_level - self.level_of(var) - 1
-    }
-
-    fn level_gap_root(&self, f: Bdd, nvars: u32) -> u32 {
-        let v = self.top_var(f);
-        if v == TERMINAL_VAR {
-            nvars
-        } else {
-            self.level_of(v)
-        }
+        shl_sat(total, level(self, f, nvars))
     }
 
     /// An irredundant sum-of-products cover of `f` (Minato–Morreale ISOP).
@@ -1191,8 +1112,7 @@ impl BddManager {
         if u.is_true() {
             return (vec![Cube::top()], Bdd::TRUE);
         }
-        let (lv, uv) = (self.top_var(l), self.top_var(u));
-        let v = if self.level_of(lv) <= self.level_of(uv) { lv } else { uv };
+        let v = self.top_var(l).min(self.top_var(u));
         let sig = self.var_to_signal[v as usize];
         let (l0, l1) = self.cofactors(l, v);
         let (u0, u1) = self.cofactors(u, v);

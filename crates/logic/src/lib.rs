@@ -39,12 +39,10 @@ pub mod bdd;
 pub mod cube;
 pub mod expr;
 pub mod parse;
-pub mod reorder;
 pub mod signal;
 pub mod valuation;
 
 pub use bdd::{Bdd, BddCheckpoint, BddManager, PairingId, VarSetId};
-pub use reorder::{ReorderGroup, ReorderOutcome};
 pub use cube::{Cube, Lit};
 pub use expr::BoolExpr;
 pub use parse::ParseBoolExprError;

@@ -33,31 +33,10 @@
 //! the extra automata and restrict their reachability by the base's
 //! reachable set — see [`crate::terms`].
 //!
-//! # Dynamic reordering and the handle-safety contract
-//!
-//! Between fixpoint steps the engine may **reorder** the BDD variables
-//! ([`SymbolicModel::maybe_reorder`]), which rebuilds the manager and
-//! invalidates every [`Bdd`] handle not explicitly remapped. The contract
-//! every function in this module follows:
-//!
-//! * only the fixpoint loops ([`ProductData::reachable`],
-//!   [`ProductData::until`], [`ProductData::hull`],
-//!   [`ProductData::rings_to`]) trigger reordering, at their loop heads,
-//!   passing every local handle in a `live` vector to be remapped;
-//! * [`ProductData::image`]/[`ProductData::preimage`] and the encoding
-//!   paths never reorder, so straight-line code may hold handles across
-//!   them;
-//! * a caller holding a handle across a *fixpoint-running* call must
-//!   either pass it through the callee's `live` vector or re-fetch it from
-//!   a memoized product field afterwards (memoized fields are remapped in
-//!   place). This is why e.g. [`ProductData::can_fair`] forces the hull
-//!   *before* capturing the reachable set, and why
-//!   [`ProductData::decide`] forces every fixpoint before extracting a
-//!   witness;
-//! * inside [`SymbolicModel::scratch`] reordering is disabled outright —
-//!   a scratch query's intermediates are untracked (and a reorder would
-//!   invalidate the region checkpoint), so extended closure products run
-//!   under whatever order the persistent fixpoints settled on.
+//! The variable order is static, so every [`Bdd`] handle the model and
+//! its cached products hold stays valid for the model's lifetime; only
+//! the nodes of a scratch region (`SymbolicModel::scratch`) are ever
+//! reclaimed.
 
 use crate::error::SymbolicError;
 use crate::model::{PartitionMode, SymbolicModel};
@@ -258,8 +237,6 @@ impl SymbolicModel {
         let full: Vec<Ltl> = base.iter().cloned().chain(extra.iter().cloned()).collect();
         if !self.products.contains_key(&full) {
             let mut ext = self.with_product(base, base_gbas, |m, pd| {
-                // Hull first (it forces reachability): both can reorder,
-                // and the handles captured here must postdate that.
                 let hull = pd.hull(m)?;
                 let reach = pd.reachable(m)?;
                 let mut ext = ProductData::build(m, extra_gbas, Some(pd))?;
@@ -451,41 +428,6 @@ impl ProductData {
         })
     }
 
-    /// Visits every BDD handle this product keeps, for collection and
-    /// remapping around a reorder. Registered variable sets and pairings
-    /// are id-based and survive a reorder on their own; `supports` holds
-    /// variable ids, not handles.
-    pub(crate) fn visit_roots(&mut self, f: &mut dyn FnMut(&mut Bdd)) {
-        for c in &mut self.conjuncts {
-            f(c);
-        }
-        f(&mut self.inv);
-        f(&mut self.init);
-        for fr in &mut self.fair {
-            f(fr);
-        }
-        f(&mut self.care);
-        f(&mut self.hull_seed);
-        for b in [&mut self.reach, &mut self.hull, &mut self.can_fair]
-            .into_iter()
-            .flatten()
-        {
-            f(b);
-        }
-        if let Some(rings) = &mut self.hull_rings {
-            for b in rings {
-                f(b);
-            }
-        }
-        if let Some(rings) = &mut self.fair_rings {
-            for ring in rings {
-                for b in ring {
-                    f(b);
-                }
-            }
-        }
-    }
-
     /// Marks a freshly memoized fixpoint as persistent when this product
     /// is cached on the model; throwaway extended products skip the mark,
     /// so their nodes stay collectable scratch.
@@ -550,17 +492,12 @@ impl ProductData {
             return Ok(None);
         }
         let z = self.hull(m)?;
-        let start = m.man.and(self.init, z);
-        if start.is_false() {
+        if m.man.and(self.init, z).is_false() {
             return Ok(None);
         }
-        // A witness exists. Force the guidance rings *before* extracting
-        // it: their fixpoints may reorder, which would invalidate
-        // `start`/`z` — re-derive both afterwards (the memoized hull is
-        // remapped in place; the walk itself only runs images and never
-        // reorders).
+        // A witness exists: build its guidance rings, then start the walk
+        // from the initial fair states (a memo hit on the test above).
         self.ensure_fair_rings(m)?;
-        let z = self.hull(m)?;
         let start = m.man.and(self.init, z);
         let product_lasso = self.extract_lasso(m, start, z)?;
         Ok(Some(self.to_word(m, &product_lasso.0, product_lasso.1)))
@@ -607,15 +544,8 @@ impl ProductData {
         let init = m.man.and(self.init, self.care);
         let mut reach = init;
         let mut frontier = init;
-        let mut live: Vec<Bdd> = Vec::new();
         loop {
             m.check_governance()?;
-            live.clear();
-            live.push(reach);
-            live.push(frontier);
-            m.maybe_reorder(self, &mut live)?;
-            frontier = live.pop().expect("pushed frontier");
-            reach = live.pop().expect("pushed reach");
             let img = self.image(m, frontier)?;
             let img = m.man.and(img, self.care);
             let fresh = diff(m, img, reach);
@@ -631,31 +561,19 @@ impl ProductData {
 
     /// `E[inside U target]` (both already restricted to the product
     /// invariant): least fixpoint of backward steps within `inside`.
-    ///
-    /// `live` carries the caller's fixpoint-local handles through any
-    /// reorder (see the [module docs](self)); the callee's own locals ride
-    /// on top of it and are popped off before returning.
     fn until(
-        &mut self,
+        &self,
         m: &mut SymbolicModel,
         inside: Bdd,
         target: Bdd,
-        live: &mut Vec<Bdd>,
     ) -> Result<Bdd, SymbolicError> {
-        let base = live.len();
-        live.push(inside);
         let mut y = target;
         loop {
             m.check_governance()?;
-            live.push(y);
-            m.maybe_reorder(self, live)?;
-            y = live.pop().expect("pushed y");
-            let inside = live[base];
             let pre = self.preimage(m, y)?;
             let step = m.man.and(inside, pre);
             let next = m.man.or(y, step);
             if next == y {
-                live.truncate(base);
                 return Ok(y);
             }
             y = next;
@@ -672,33 +590,21 @@ impl ProductData {
         let reach = self.reachable(m)?;
         let _span = dic_trace::span("symbolic.fair_hull");
         let mut z = m.man.and(reach, self.hull_seed);
-        let nfair = self.fair.len();
-        let mut live: Vec<Bdd> = Vec::new();
         loop {
             m.check_governance()?;
-            live.clear();
-            live.push(z); // the round's starting point, [0]
-            if nfair == 0 {
-                // Safety-only products have no until() below to host the
-                // reorder hook, so the loop head hosts it directly.
-                m.maybe_reorder(self, &mut live)?;
-                z = live[0];
+            let start = z;
+            if self.fair.is_empty() {
                 let pre = self.preimage(m, z)?;
                 z = m.man.and(z, pre);
             } else {
-                for j in 0..nfair {
-                    let fj = self.fair[j]; // re-read: remapped in place
+                for &fj in &self.fair {
                     let target = m.man.and(z, fj);
-                    live.push(z);
-                    let eu = self.until(m, z, target, &mut live)?;
-                    z = live.pop().expect("pushed z");
+                    let eu = self.until(m, z, target)?;
                     let pre = self.preimage(m, eu)?;
                     z = m.man.and(z, pre);
                 }
             }
-            // live[0] was remapped alongside z by any reorder, so handle
-            // equality still decides convergence.
-            if z == live[0] {
+            if z == start {
                 self.hull = Some(z);
                 self.mark(m);
                 return Ok(z);
@@ -713,12 +619,9 @@ impl ProductData {
         if let Some(cf) = self.can_fair {
             return Ok(cf);
         }
-        // Force the hull (and with it reachability) *first*: both may
-        // reorder, and the handles captured below must postdate that.
         let z = self.hull(m)?;
         let reach = self.reachable(m)?;
-        let mut live: Vec<Bdd> = Vec::new();
-        let cf = self.until(m, reach, z, &mut live)?;
+        let cf = self.until(m, reach, z)?;
         self.can_fair = Some(cf);
         self.mark(m);
         Ok(cf)
@@ -728,26 +631,16 @@ impl ProductData {
     /// the target, `rings[d]` the states first reaching it in `d` steps.
     /// Every state of `z` with a path to the target lands in some ring.
     fn rings_to(
-        &mut self,
+        &self,
         m: &mut SymbolicModel,
         z: Bdd,
         target: Bdd,
     ) -> Result<Vec<Bdd>, SymbolicError> {
-        let mut z = z;
         let t0 = m.man.and(z, target);
         let mut rings = vec![t0];
         let mut covered = t0;
-        let mut live: Vec<Bdd> = Vec::new();
         loop {
             m.check_governance()?;
-            live.clear();
-            live.push(z);
-            live.push(covered);
-            live.extend_from_slice(&rings);
-            m.maybe_reorder(self, &mut live)?;
-            z = live[0];
-            covered = live[1];
-            rings.copy_from_slice(&live[2..]);
             let last = *rings.last().expect("non-empty");
             let pre = self.preimage(m, last)?;
             let in_z = m.man.and(pre, z);
@@ -765,8 +658,6 @@ impl ProductData {
     /// suffix (see [`ProductData::walk_to_hull`]).
     fn hull_rings(&mut self, m: &mut SymbolicModel) -> Result<&[Bdd], SymbolicError> {
         if self.hull_rings.is_none() {
-            // can_fair forces the hull; fetch the hull after it so the
-            // handle postdates any reorder.
             let cf = self.can_fair(m)?;
             let z = self.hull(m)?;
             self.hull_rings = Some(self.rings_to(m, cf, z)?);
@@ -779,30 +670,14 @@ impl ProductData {
     /// guide [`ProductData::extract_lasso`] walks.
     fn ensure_fair_rings(&mut self, m: &mut SymbolicModel) -> Result<(), SymbolicError> {
         if self.fair_rings.is_none() && !self.fair.is_empty() {
-            // Completed ring families are parked in `fair_rings` right
-            // away so a reorder during a later family's fixpoint remaps
-            // them (`visit_roots`) instead of leaving them dangling. On
-            // error the partial memo is discarded — a caller surviving a
-            // NodeLimit must not find a half-built guide.
-            self.fair_rings = Some(Vec::with_capacity(self.fair.len()));
-            for j in 0..self.fair.len() {
-                let family = (|| {
-                    let z = self.hull(m)?; // memoized; remapped in place
-                    let fj = self.fair[j];
-                    self.rings_to(m, z, fj)
-                })();
-                match family {
-                    Ok(rings) => self
-                        .fair_rings
-                        .as_mut()
-                        .expect("parked above")
-                        .push(rings),
-                    Err(e) => {
-                        self.fair_rings = None;
-                        return Err(e);
-                    }
-                }
+            // Memoized only once every family is built — a caller
+            // surviving a NodeLimit must not find a half-built guide.
+            let z = self.hull(m)?;
+            let mut families = Vec::with_capacity(self.fair.len());
+            for &fj in &self.fair {
+                families.push(self.rings_to(m, z, fj)?);
             }
+            self.fair_rings = Some(families);
             self.mark(m);
         }
         Ok(())

@@ -14,9 +14,9 @@ use std::fmt;
 pub enum SymbolicError {
     /// The BDD manager grew past the configured node budget.
     ///
-    /// `BddManager` never garbage-collects and memoizes every operation, so
-    /// node count plus cache entries is a faithful proxy for its memory
-    /// footprint; this error is raised between fixpoint steps, never
+    /// `BddManager` reclaims nodes only by rolling back scratch regions
+    /// and memoizes every operation, so node count plus cache entries is a
+    /// faithful proxy for its memory footprint; this error is raised between fixpoint steps, never
     /// mid-operation, so the manager is left in a consistent state.
     NodeLimit {
         /// Live BDD nodes at the time of the check.
@@ -37,13 +37,6 @@ pub enum SymbolicError {
     /// something that is not a node count. Refusing beats silently falling
     /// back to the default the user was trying to replace.
     InvalidNodeLimit {
-        /// The offending value, verbatim.
-        value: String,
-    },
-    /// The `SPECMATCHER_REORDER_LOG` environment variable is set to
-    /// something other than `0` or `1`. Same fail-closed contract as the
-    /// node limit: a typo must not silently pick a behaviour.
-    InvalidReorderLog {
         /// The offending value, verbatim.
         value: String,
     },
@@ -93,11 +86,6 @@ impl fmt::Display for SymbolicError {
                 f,
                 "invalid SPECMATCHER_BDD_NODE_LIMIT value {value:?}: expected a \
                  positive node count, optionally with a K or M suffix (e.g. 96M)"
-            ),
-            SymbolicError::InvalidReorderLog { value } => write!(
-                f,
-                "invalid SPECMATCHER_REORDER_LOG value {value:?}: expected 0 (off) or \
-                 1 (log reorders to stderr; deprecated — prefer --trace-out <path>)"
             ),
             SymbolicError::InvalidPartitionMode { value } => write!(
                 f,

@@ -19,7 +19,7 @@
 
 use crate::check::ProductData;
 use crate::error::SymbolicError;
-use dic_logic::{Bdd, BddManager, BoolExpr, ReorderGroup, SignalId, SignalTable};
+use dic_logic::{Bdd, BddManager, BoolExpr, SignalId, SignalTable};
 use dic_ltl::Ltl;
 use dic_netlist::Module;
 use std::collections::HashMap;
@@ -35,10 +35,10 @@ use std::fmt;
 /// the static variable order; mal-26's gap phase peaks near 10 M, with
 /// scratch reclaimed between closure checks via
 /// [`dic_logic::BddManager::rollback`]) while still failing closed long
-/// before a development container OOMs. The margin also hosts the
-/// reorder safety valve: [`REORDER_FIRST_TRIGGER`] sits between the
-/// measured peaks and this budget, so runs that fit statically never
-/// pay a sift and runs that would refuse get one reorder first.
+/// before a development container OOMs. Scratch rollback is the only
+/// collection: the persistent region (model encodings, cached products,
+/// memoized fixpoints) is never compacted, so a model that outgrows the
+/// budget refuses with [`SymbolicError::NodeLimit`].
 pub const DEFAULT_NODE_LIMIT: usize = 24_000_000;
 
 /// Automaton state bits pre-allocated *above* the module variable banks.
@@ -52,26 +52,6 @@ pub const DEFAULT_NODE_LIMIT: usize = 24_000_000;
 /// needing more bits than this still work — overflow bits are allocated
 /// below the banks — they just lose the good ordering.
 pub const AUT_BITS_ON_TOP: usize = 160;
-
-/// Node-count threshold arming the first automatic reorder (and the
-/// minimum growth between consecutive reorders).
-///
-/// Deliberately high — a safety valve short of the default node budget
-/// ([`DEFAULT_NODE_LIMIT`]), not an eager policy: every rebuild clears
-/// the operation memos, and on fixpoint-heavy runs recomputing those
-/// dwarfs what the tighter order saves (amba-ahb forced-symbolic runs
-/// ~2.5× slower with an eager 1M trigger than with the static order,
-/// which peaks at ~12M nodes and fits the budget outright). Runs that
-/// genuinely outgrow the static order still sift before refusing;
-/// smaller explicit budgets (below this threshold) refuse without
-/// reordering, as they always have.
-pub const REORDER_FIRST_TRIGGER: usize = 1 << 24;
-
-/// Minimum *live* node count before a triggered reorder runs the sifting
-/// search instead of a plain compaction. Below this, ordering cannot cost
-/// enough to repay a sifting pass; above it, sifting runs once per
-/// doubling of the live size.
-const REORDER_SIFT_MIN: usize = 1 << 16;
 
 /// Default cluster-size cap (BDD nodes) for the conjunctively partitioned
 /// transition relation (see [`PartitionMode`]).
@@ -120,51 +100,19 @@ impl fmt::Display for PartitionMode {
     }
 }
 
-/// When the symbolic engine runs dynamic variable reordering
-/// (constrained group sifting — see [`dic_logic::BddManager::reorder_groups`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// Accepted and ignored: the symbolic engine's variable order is static.
+/// The `perfbench` worker is its only caller; remove it together with
+/// that call in the next change to `perfbench/`.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
 pub enum ReorderMode {
-    /// Never reorder: the static registration order (automaton bits on
-    /// top, interleaved current/next banks) is used throughout.
-    Off,
-    /// Reorder automatically on node-growth thresholds between fixpoint
-    /// steps, outside scratch scopes.
-    #[default]
     Auto,
 }
 
-impl ReorderMode {
-    /// Parses a CLI-style mode name.
-    pub fn parse(s: &str) -> Option<ReorderMode> {
-        match s {
-            "off" => Some(ReorderMode::Off),
-            "auto" => Some(ReorderMode::Auto),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for ReorderMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ReorderMode::Off => "off",
-            ReorderMode::Auto => "auto",
-        })
-    }
-}
-
-/// Cumulative dynamic-reordering statistics for one symbolic model.
+/// BDD node-store statistics for one symbolic model, straight from its
+/// manager.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ReorderStats {
-    /// Number of sifting reorders performed.
-    pub count: usize,
-    /// Number of plain compactions (garbage-collecting rebuilds without a
-    /// sifting search — triggered growth that was garbage, not ordering).
-    pub compactions: usize,
-    /// Total live nodes across sifting reorders, before sifting.
-    pub nodes_before: usize,
-    /// Total live nodes across sifting reorders, after sifting.
-    pub nodes_after: usize,
+pub struct BddGcStats {
     /// Generational scratch-region collections: rollbacks that actually
     /// freed nodes (O(freed) each — see
     /// [`dic_logic::BddManager::rollback`]).
@@ -184,16 +132,6 @@ pub struct SymbolicOptions {
     /// Fail-closed budget for live BDD nodes, checked between fixpoint
     /// steps (the symbolic analogue of `dic_fsm::KRIPKE_BIT_LIMIT`).
     pub node_limit: usize,
-    /// Dynamic variable reordering policy.
-    pub reorder: ReorderMode,
-    /// Node count arming the first automatic reorder (tests lower it to
-    /// exercise reordering on small models).
-    pub reorder_trigger: usize,
-    /// Legacy stderr logging of reorder outcomes (the old
-    /// `SPECMATCHER_REORDER_LOG=1` behaviour). Deprecated in favour of
-    /// the structured `bdd.reorder`/`bdd.compact` trace events
-    /// (`--trace-out`); kept as a line-oriented escape hatch.
-    pub reorder_log: bool,
     /// Transition-relation representation (clustered vs per-conjunct).
     pub partition: PartitionMode,
     /// Cluster-size cap (BDD nodes) under [`PartitionMode::Auto`].
@@ -201,16 +139,13 @@ pub struct SymbolicOptions {
 }
 
 impl Default for SymbolicOptions {
-    /// The baked-in defaults: [`DEFAULT_NODE_LIMIT`], automatic
-    /// reordering. Environment overrides (which can be *invalid* and must
-    /// error, not silently fall back) live in
-    /// [`SymbolicOptions::from_env`].
+    /// The baked-in defaults: [`DEFAULT_NODE_LIMIT`], clustered
+    /// partitioning at [`DEFAULT_CLUSTER_SIZE`]. Environment overrides
+    /// (which can be *invalid* and must error, not silently fall back)
+    /// live in [`SymbolicOptions::from_env`].
     fn default() -> Self {
         SymbolicOptions {
             node_limit: DEFAULT_NODE_LIMIT,
-            reorder: ReorderMode::default(),
-            reorder_trigger: REORDER_FIRST_TRIGGER,
-            reorder_log: false,
             partition: PartitionMode::default(),
             cluster_size: DEFAULT_CLUSTER_SIZE,
         }
@@ -234,7 +169,6 @@ impl SymbolicOptions {
         if let Ok(v) = std::env::var("SPECMATCHER_BDD_NODE_LIMIT") {
             opts.node_limit = parse_node_limit(&v)?;
         }
-        opts.reorder_log = reorder_log_from_env()?;
         if let Some(mode) = partition_from_env()? {
             opts.partition = mode;
         }
@@ -244,9 +178,11 @@ impl SymbolicOptions {
         Ok(opts)
     }
 
-    /// Returns the options with the given reorder mode.
-    pub fn with_reorder(mut self, mode: ReorderMode) -> Self {
-        self.reorder = mode;
+    /// Returns the options unchanged: the variable order is static. The
+    /// `perfbench` worker is its only caller; remove it together with that
+    /// call in the next change to `perfbench/`.
+    #[doc(hidden)]
+    pub fn with_reorder(self, _: ReorderMode) -> Self {
         self
     }
 
@@ -287,32 +223,6 @@ pub fn cluster_size_from_env() -> Result<Option<usize>, SymbolicError> {
             Some(n) => Ok(Some(n)),
             None => Err(SymbolicError::InvalidClusterSize { value: v }),
         },
-    }
-}
-
-/// Strict parse of the deprecated `SPECMATCHER_REORDER_LOG` stderr log
-/// switch: unset or `"0"` is off, `"1"` turns it on (with a one-time
-/// deprecation note pointing at `--trace-out`), anything else is
-/// rejected — the `SPECMATCHER_NO_REDUCE`/`SPECMATCHER_JOBS` contract.
-///
-/// # Errors
-///
-/// [`SymbolicError::InvalidReorderLog`] for any other value.
-pub fn reorder_log_from_env() -> Result<bool, SymbolicError> {
-    match std::env::var("SPECMATCHER_REORDER_LOG") {
-        Err(_) => Ok(false),
-        Ok(v) if v == "0" => Ok(false),
-        Ok(v) if v == "1" => {
-            static DEPRECATION: std::sync::Once = std::sync::Once::new();
-            DEPRECATION.call_once(|| {
-                eprintln!(
-                    "note: SPECMATCHER_REORDER_LOG is deprecated; reorder/compaction \
-                     events are part of the structured trace — prefer --trace-out <path>"
-                );
-            });
-            Ok(true)
-        }
-        Ok(v) => Err(SymbolicError::InvalidReorderLog { value: v }),
     }
 }
 
@@ -388,17 +298,6 @@ pub struct SymbolicModel {
     /// `None` whenever persistent state (a memoized product fixpoint) was
     /// created since the last mark — see [`SymbolicModel::scratch`].
     pub(crate) scratch_base: Option<dic_logic::BddCheckpoint>,
-    /// Nesting depth of active [`SymbolicModel::scratch`] closures. While
-    /// positive, reordering is disabled: a reorder invalidates the scratch
-    /// checkpoint *and* every intermediate handle the running query holds.
-    pub(crate) scratch_depth: usize,
-    /// Persistent-base node count arming the next automatic reorder
-    /// (grows after each).
-    reorder_next: usize,
-    /// Live node count at which a triggered reorder sifts instead of just
-    /// compacting (doubles after every sift).
-    sift_next: usize,
-    reorder_stats: ReorderStats,
     pub(crate) options: SymbolicOptions,
 }
 
@@ -433,10 +332,6 @@ impl SymbolicModel {
             aut_pool: Vec::new(),
             products: HashMap::new(),
             scratch_base: None,
-            scratch_depth: 0,
-            reorder_next: options.reorder_trigger,
-            sift_next: REORDER_SIFT_MIN.min(options.reorder_trigger),
-            reorder_stats: ReorderStats::default(),
             options,
         };
 
@@ -536,9 +431,7 @@ impl SymbolicModel {
         if self.scratch_base.is_none() {
             self.scratch_base = Some(self.man.checkpoint());
         }
-        self.scratch_depth += 1;
         let result = f(self);
-        self.scratch_depth -= 1;
         if let Some(base) = self.scratch_base {
             if self.man.node_count() - base.nodes() > self.options.node_limit / 4 {
                 self.man.rollback(&base);
@@ -607,15 +500,12 @@ impl SymbolicModel {
         Ok(())
     }
 
-    /// Cumulative dynamic-reordering and node-store statistics (the
-    /// sifting counters are zero under [`ReorderMode::Off`]; the GC and
-    /// peak figures come straight from the manager and are always live).
-    pub fn reorder_stats(&self) -> ReorderStats {
-        ReorderStats {
+    /// Cumulative node-store statistics of the owned manager.
+    pub fn gc_stats(&self) -> BddGcStats {
+        BddGcStats {
             gc_collections: self.man.gc_collections(),
             gc_freed: self.man.gc_freed_nodes(),
             peak_nodes: self.man.peak_node_count(),
-            ..self.reorder_stats
         }
     }
 
@@ -628,14 +518,16 @@ impl SymbolicModel {
     ///   level-adjacent in current-above-next order (what keeps bank
     ///   renaming a linear rebuild).
     ///
+    /// Both hold by registration order (a variable's id is its level), so
+    /// a violation means a variable was registered out of turn.
+    ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
     pub fn assert_order_invariants(&self) {
         let top_pairs = self.aut_pool.len().min(AUT_BITS_ON_TOP);
         let top_levels = 2 * top_pairs as u32;
-        for (i, &(c, n)) in self.aut_pool.iter().enumerate() {
-            let (lc, ln) = (self.man.level_of(c), self.man.level_of(n));
+        for (i, &(lc, ln)) in self.aut_pool.iter().enumerate() {
             assert_eq!(ln, lc + 1, "aut pair {i} lost curr/next adjacency");
             if i < AUT_BITS_ON_TOP {
                 assert!(
@@ -645,169 +537,12 @@ impl SymbolicModel {
             }
         }
         for i in 0..self.state_signals.len() {
-            let (lc, ln) = (
-                self.man.level_of(self.curr_var[i]),
-                self.man.level_of(self.next_var[i]),
-            );
+            let (lc, ln) = (self.curr_var[i], self.next_var[i]);
             assert_eq!(ln, lc + 1, "state pair {i} lost curr/next adjacency");
             assert!(
                 lc >= top_levels,
                 "state pair {i} intruded into the automaton top block"
             );
-        }
-    }
-
-    /// Reorders the BDD variables by constrained group sifting when the
-    /// manager has outgrown the current trigger — the hook every symbolic
-    /// fixpoint loop calls between steps.
-    ///
-    /// Safety contract (see the module docs of [`crate::check`]): this may
-    /// only run where the complete set of live handles is known — the
-    /// model's encodings, every cached product, the product currently
-    /// taken out of the cache (`pd`), and the running fixpoint's local
-    /// handles (`live`), which are remapped in place. It therefore never
-    /// fires inside a scratch scope (the running query holds untracked
-    /// intermediates, and a reorder would invalidate the scratch
-    /// checkpoint). A reorder drops every handle outside the root set —
-    /// the only garbage collection the append-only manager has — and
-    /// re-bases the scratch region.
-    pub(crate) fn maybe_reorder(
-        &mut self,
-        pd: &mut ProductData,
-        live: &mut [Bdd],
-    ) -> Result<(), SymbolicError> {
-        if self.options.reorder == ReorderMode::Off || self.scratch_depth > 0 {
-            return Ok(());
-        }
-        // Trigger on the *persistent base*: the prefix of the store below
-        // any open scratch region. Growth inside the region is batched
-        // scratch the rollback machinery will reclaim with its memos kept
-        // warm — collecting it here would defeat that batching and pay a
-        // rebuild for it. But the batch budget is `node_limit / 4`
-        // (see [`SymbolicModel::scratch`]): anything past that is not
-        // healthy batching — it is a persistent fixpoint ballooning above
-        // a stale checkpoint (a lazily-forced `hull_rings`, say) — so the
-        // effective base tracks it and reordering re-arms.
-        let base_nodes = match self.scratch_base {
-            None => self.man.node_count(),
-            Some(cp) => cp.nodes().max(
-                self.man
-                    .node_count()
-                    .saturating_sub(self.options.node_limit / 4),
-            ),
-        };
-        if base_nodes < self.reorder_next {
-            return Ok(());
-        }
-
-        let t0 = dic_trace::Stopwatch::start();
-        // One extract-and-rebuild pass: it always collects garbage (the
-        // only collection this manager has), and runs the sifting search
-        // only when the *live* size has at least doubled since the last
-        // sift — ordering cost grows with live nodes, garbage does not.
-        let outcome = self.run_rebuild(pd, live);
-        if outcome.sifted {
-            self.sift_next = outcome.live_after.saturating_mul(2).max(REORDER_SIFT_MIN);
-            self.reorder_stats.count += 1;
-            self.reorder_stats.nodes_before += outcome.live_before;
-            self.reorder_stats.nodes_after += outcome.live_after;
-        } else {
-            self.reorder_stats.compactions += 1;
-        }
-        if dic_trace::enabled() {
-            // Every rebuild compacts; a sifting search on top is a reorder.
-            dic_trace::count(dic_trace::Counter::BddCompactions, 1);
-            if outcome.sifted {
-                dic_trace::count(dic_trace::Counter::BddReorders, 1);
-            }
-            dic_trace::event(
-                if outcome.sifted { "bdd.reorder" } else { "bdd.compact" },
-                &[
-                    ("store_before", outcome.store_before as u64),
-                    ("live_before", outcome.live_before as u64),
-                    ("live_after", outcome.live_after as u64),
-                    ("dur_ns", t0.elapsed().as_nanos() as u64),
-                ],
-            );
-        }
-        // Legacy line-oriented diagnostics (`SPECMATCHER_REORDER_LOG=1`,
-        // deprecated); off by default.
-        if self.options.reorder_log {
-            eprintln!(
-                "reorder: store {} -> live {} -> {}{} in {:.2?}",
-                outcome.store_before,
-                outcome.live_before,
-                outcome.live_after,
-                if outcome.sifted { " (sifted)" } else { "" },
-                t0.elapsed(),
-            );
-        }
-
-        // Checkpoints into the old node store are meaningless now; the
-        // rebuild already collected everything outside the root set.
-        self.scratch_base = None;
-        self.reorder_next = outcome
-            .live_after
-            .saturating_mul(2)
-            .max(outcome.live_after + self.options.reorder_trigger);
-        self.check_limit()
-    }
-
-    /// One rebuild pass over the full root set — every handle the model,
-    /// the cached products, the taken-out product `pd` and the running
-    /// fixpoint (`live`) hold — sifting when the live size warrants it
-    /// (`sift_next`), remapping every root in place.
-    fn run_rebuild(&mut self, pd: &mut ProductData, live: &mut [Bdd]) -> dic_logic::ReorderOutcome {
-        let mut roots: Vec<Bdd> = Vec::new();
-        self.visit_model_roots(&mut |b| roots.push(*b));
-        for cached in self.products.values_mut() {
-            cached.visit_roots(&mut |b| roots.push(*b));
-        }
-        pd.visit_roots(&mut |b| roots.push(*b));
-        roots.extend_from_slice(live);
-
-        // Sifting groups: every current/next pair moves as one adjacent
-        // block; the pre-allocated automaton pairs only sift within their
-        // reserved top block (the aut-bits-on-top invariant the
-        // Emerson–Lei fixpoints depend on). Overflow automaton bits (past
-        // the pool) live below the banks and sift freely.
-        let mut groups = Vec::with_capacity(self.aut_pool.len() + self.state_signals.len());
-        for (i, &(c, n)) in self.aut_pool.iter().enumerate() {
-            groups.push(ReorderGroup {
-                vars: vec![c, n],
-                top: i < AUT_BITS_ON_TOP,
-            });
-        }
-        for i in 0..self.state_signals.len() {
-            groups.push(ReorderGroup {
-                vars: vec![self.curr_var[i], self.next_var[i]],
-                top: false,
-            });
-        }
-        let outcome = self
-            .man
-            .reorder_groups_min_live(&groups, &roots, self.sift_next);
-
-        self.visit_model_roots(&mut |b| outcome.remap(b));
-        for cached in self.products.values_mut() {
-            cached.visit_roots(&mut |b| outcome.remap(b));
-        }
-        pd.visit_roots(&mut |b| outcome.remap(b));
-        for b in live.iter_mut() {
-            outcome.remap(b);
-        }
-        outcome
-    }
-
-    /// Visits every BDD handle the model itself keeps (product handles are
-    /// visited via [`ProductData::visit_roots`]).
-    fn visit_model_roots(&mut self, f: &mut dyn FnMut(&mut Bdd)) {
-        f(&mut self.init);
-        for c in &mut self.trans_latches {
-            f(c);
-        }
-        for b in self.sig_bdd.values_mut() {
-            f(b);
         }
     }
 

@@ -54,8 +54,6 @@ impl SymbolicModel {
             return Ok(None);
         };
         self.with_product(base, &base_gbas, |m, pd| {
-            // Hull first (it forces reachability): both can reorder, and
-            // the handles captured here must postdate that.
             let base_hull = pd.hull(m)?;
             let base_reach = pd.reachable(m)?;
             // The whole extended product is scratch: its verdict is a

@@ -242,69 +242,36 @@ fn node_limit_fails_closed_mid_analysis() {
 }
 
 #[test]
-fn forced_reorders_preserve_verdicts_and_order_invariants() {
-    // A trigger of 1 fires a reorder at (almost) every fixpoint step, the
-    // harshest schedule possible: every cached product, memoized fixpoint
-    // and in-flight local must be remapped correctly or the engine
-    // corrupts silently. Verdicts and witnesses must match the
-    // reorder-free engine's, and the aut-bits-on-top / curr-next
-    // adjacency invariants must survive every single reorder.
+fn order_invariants_hold_after_full_analysis() {
+    // The static variable order rests on registration order alone:
+    // automaton bits on top, every current/next pair adjacent. A full
+    // `satisfiable_conj` analysis (product build, reachability, fair hull,
+    // witness rings) registers automaton bits and var sets on the way, so
+    // the invariants must still hold afterwards — and every witness must
+    // satisfy the conjunction.
     let mut rng = XorShift64::new(0x0051_17ED);
-    let mut total_reorders = 0usize;
     for case in 0..25 {
         let (t, m) = random_module(&mut rng, 2, 3);
         let atoms: Vec<SignalId> = m.signals().into_iter().collect();
         let formulas: Vec<Ltl> = (0..1 + case % 3)
             .map(|_| random_formula(&mut rng, &atoms, 5))
             .collect();
-        let mut plain = SymbolicModel::from_module(
-            &m,
-            &t,
-            &[],
-            SymbolicOptions::default().with_reorder(dic_symbolic::ReorderMode::Off),
-        )
-        .expect("builds");
-        let baseline = plain.satisfiable_conj(&formulas).expect("within limits");
-
-        let mut stressed = SymbolicModel::from_module(
-            &m,
-            &t,
-            &[],
-            SymbolicOptions {
-                reorder_trigger: 1,
-                ..SymbolicOptions::default()
-            },
-        )
-        .expect("builds");
-        let verdict = stressed.satisfiable_conj(&formulas).expect("within limits");
-        stressed.assert_order_invariants();
-        // A conjunct unsatisfiable before translation builds no product,
-        // so not every case reorders — but the batch must.
-        total_reorders += stressed.reorder_stats().count;
-        assert_eq!(
-            baseline.is_some(),
-            verdict.is_some(),
-            "reordering changed a verdict on case {case}: {:?}",
-            formulas
-                .iter()
-                .map(|f| f.display(&t).to_string())
-                .collect::<Vec<_>>()
-        );
-        if let Some(w) = verdict {
+        let mut sym =
+            SymbolicModel::from_module(&m, &t, &[], SymbolicOptions::default()).expect("builds");
+        let verdict = sym.satisfiable_conj(&formulas).expect("within limits");
+        sym.assert_order_invariants();
+        if let Some(w) = &verdict {
             for f in &formulas {
                 assert!(
-                    f.holds_on(&w),
-                    "witness after reorders violates {} (case {case})",
+                    f.holds_on(w),
+                    "witness violates {} (case {case})",
                     f.display(&t)
                 );
             }
         }
-        // Querying again reuses the (remapped) cached product.
-        let again = stressed.satisfiable_conj(&formulas).expect("within limits");
-        assert_eq!(again.is_some(), baseline.is_some(), "repeat query (case {case})");
+        // Querying again reuses the cached product.
+        let again = sym.satisfiable_conj(&formulas).expect("within limits");
+        assert_eq!(again.is_some(), verdict.is_some(), "repeat query (case {case})");
+        sym.assert_order_invariants();
     }
-    assert!(
-        total_reorders > 0,
-        "trigger 1 must fire reorders across the batch"
-    );
 }

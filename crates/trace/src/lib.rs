@@ -12,7 +12,8 @@
 //!   expanded, Algorithm 1 verdict classes). Counters saturate at
 //!   `u64::MAX` instead of wrapping; gauges track a level and a peak.
 //! * **Events** — point-in-time occurrences with numeric fields
-//!   (reorders, compactions), attributed to the enclosing span.
+//!   (injected faults, explicit retries, aborts), attributed to the
+//!   enclosing span.
 //!
 //! Everything funnels into three sinks: a rendered `profile:` tree
 //! ([`render_profile`]), a JSONL stream ([`write_jsonl`], replayable via
@@ -141,11 +142,10 @@ pub enum Counter {
     BddUniqueLookups,
     /// Unique-table probes that found an existing node.
     BddUniqueHits,
-    /// Sifting reorders realized by the symbolic engine.
+    /// Never incremented: the symbolic engine's variable order is static.
+    /// Kept only because `perfbench/run.py`, its only reader, looks it up
+    /// by name; remove it in the next change to `perfbench/`.
     BddReorders,
-    /// Compacting rebuilds (every reorder compacts; compaction can also
-    /// run without a sift).
-    BddCompactions,
     /// Generational scratch-region collections (checkpoint rollbacks that
     /// actually freed nodes).
     BddGcCollections,
@@ -198,7 +198,6 @@ impl Counter {
         Counter::BddUniqueLookups,
         Counter::BddUniqueHits,
         Counter::BddReorders,
-        Counter::BddCompactions,
         Counter::BddGcCollections,
         Counter::BddPartitionImages,
         Counter::GbaCacheHits,
@@ -230,7 +229,6 @@ impl Counter {
             Counter::BddUniqueLookups => "bdd.unique_lookups",
             Counter::BddUniqueHits => "bdd.unique_hits",
             Counter::BddReorders => "bdd.reorders",
-            Counter::BddCompactions => "bdd.compactions",
             Counter::BddGcCollections => "bdd.gc_collections",
             Counter::BddPartitionImages => "bdd.partition_images",
             Counter::GbaCacheHits => "gba.cache_hits",
@@ -254,7 +252,7 @@ impl Counter {
 }
 
 /// Number of distinct counters.
-pub const NUM_COUNTERS: usize = 27;
+pub const NUM_COUNTERS: usize = 26;
 
 static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
 
@@ -426,7 +424,7 @@ pub struct SpanRecord {
 /// A point event, as recorded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventRecord {
-    /// Dotted event name (`bdd.reorder`, `bdd.compact`, …).
+    /// Dotted event name (`fault.injected`, `run.aborted`, …).
     pub name: String,
     /// Timestamp, ns since the trace epoch.
     pub at_ns: u64,
@@ -1107,7 +1105,7 @@ mod tests {
             {
                 let mut phase = span("phase.primary");
                 phase.meta("conjuncts", 3);
-                event("bdd.reorder", &[("live_before", 100), ("live_after", 40)]);
+                event("fault.injected", &[("nth", 1)]);
             }
             let _a = span("phase.gap_find");
             count(Counter::BddIteOps, 1234);
@@ -1124,7 +1122,7 @@ mod tests {
         assert!(tree.contains("[conjuncts=3]"));
         assert!(tree.contains("bdd.ite_ops"));
         assert!(tree.contains("bdd.peak_nodes"));
-        assert!(tree.contains("events: 1 (bdd.reorder x1)"));
+        assert!(tree.contains("events: 1 (fault.injected x1)"));
     }
 
     #[test]

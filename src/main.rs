@@ -1,9 +1,9 @@
 //! The `specmatcher` command-line tool.
 //!
 //! ```text
-//! specmatcher check --design <name> [--backend B] [--reorder M] [--partition P] [--jobs N] [--bmc M] [--json] [--profile] [--trace-out F]
-//! specmatcher check --snl <file> --spec <file> [--backend B] [--reorder M] [--partition P] [--jobs N] [--bmc M]
-//! specmatcher table1 [--backend B] [--reorder M] [--partition P] [--jobs N] [--bmc M] [--quick | --json] [--profile] [--trace-out F]
+//! specmatcher check --design <name> [--backend B] [--partition P] [--jobs N] [--bmc M] [--json] [--profile] [--trace-out F]
+//! specmatcher check --snl <file> --spec <file> [--backend B] [--partition P] [--jobs N] [--bmc M]
+//! specmatcher table1 [--backend B] [--partition P] [--jobs N] [--bmc M] [--quick | --json] [--profile] [--trace-out F]
 //! specmatcher fsm --design <name>              dump concrete-module FSMs (DOT)
 //! specmatcher list                             list packaged designs
 //! ```
@@ -12,13 +12,11 @@
 //! question: `explicit` (state enumeration, refuses large models),
 //! `symbolic` (BDD reachability + fair cycles) or `auto` (the default:
 //! explicit for small state spaces and narrow products, symbolic past
-//! either threshold). `--reorder` controls the symbolic engine's dynamic
-//! variable reordering (`auto`, the default, or `off`). `--partition`
-//! controls the symbolic engine's conjunctively partitioned transition
-//! relation (`auto`, the default: greedy clustering up to
-//! `SPECMATCHER_BDD_CLUSTER_SIZE` nodes per cluster; `off` keeps one
-//! conjunct per latch/automaton) — the reported property sets are
-//! byte-identical either way. `--jobs` sets the
+//! either threshold). `--partition` controls the symbolic engine's
+//! conjunctively partitioned transition relation (`auto`, the default:
+//! greedy clustering up to `SPECMATCHER_BDD_CLUSTER_SIZE` nodes per
+//! cluster; `off` keeps one conjunct per latch/automaton) — the reported
+//! property sets are byte-identical either way. `--jobs` sets the
 //! worker-thread count for Algorithm 1's candidate closure verification
 //! (default: `SPECMATCHER_JOBS`, else the machine's available
 //! parallelism); the reported property set is identical for every value.
@@ -33,7 +31,8 @@
 //! `SPECMATCHER_TIMEOUT`) arms a cooperative deadline checked between
 //! engine steps: on expiry the run degrades to a *partial report* —
 //! settled verdicts are kept, unresolved candidates are listed as
-//! `unknown`, and the report carries an `incomplete:` line.
+//! `unknown`, and the report carries an `incomplete:` line. Any argument
+//! a command does not accept is a usage error.
 //!
 //! Exit codes: `0` — every architectural property is covered; `1` — a
 //! coverage gap was found and reported (including a partial run with at
@@ -54,8 +53,7 @@
 //! ```
 
 use dic_core::{
-    ArchSpec, Backend, BmcMode, CoreError, GapConfig, PartitionMode, ReorderMode, RtlSpec,
-    SpecMatcher, TmStyle,
+    ArchSpec, Backend, BmcMode, CoreError, GapConfig, PartitionMode, RtlSpec, SpecMatcher, TmStyle,
 };
 use dic_designs::{mal, scaling, table1_designs, Design};
 use dic_fsm::extract_fsm;
@@ -139,6 +137,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         "table1" => cmd_table1(&args[1..]),
         "fsm" => cmd_fsm(&args[1..]),
         "list" => {
+            check_args("list", &args[1..], &[], &[])?;
             for d in table1_designs() {
                 println!("{}", d.name);
             }
@@ -157,8 +156,23 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 fn print_usage() {
     eprintln!(
-        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--reorder off|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--reorder ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\nreorder:  auto = dynamic BDD variable reordering (group sifting; default),\n          off  = keep the static variable order\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (cap SPECMATCHER_BDD_CLUSTER_SIZE; default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (depth SPECMATCHER_BMC_DEPTH, default 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
+        "usage:\n  specmatcher check --design <name> [--backend explicit|symbolic|auto] [--partition off|auto] [--jobs N] [--bmc off|auto] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher check --snl <file> --spec <file> [--backend ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--json] [--profile] [--trace-out <path>]\n  specmatcher table1 [--backend ...] [--partition ...] [--jobs N] [--bmc ...] [--timeout S] [--quick | --json] [--profile] [--trace-out <path>]\n  specmatcher fsm --design <name>\n  specmatcher list\n\nbackends: explicit = state enumeration (paper-faithful, limited size),\n          symbolic = BDD reachability + fair cycles (scales further),\n          auto     = pick by state-space size and product width (default)\npartition: auto = conjunctively partitioned transition relation with\n          greedy clustering (cap SPECMATCHER_BDD_CLUSTER_SIZE; default),\n          off  = one conjunct per latch/automaton; gap reports are\n          byte-identical either way\njobs:     worker threads for gap-phase candidate verification\n          (default: SPECMATCHER_JOBS, else available parallelism;\n          the reported property set is identical for every value)\nbmc:      auto = bounded SAT refutation ahead of the closure fixpoints\n          (depth SPECMATCHER_BMC_DEPTH, default 16; default mode),\n          off  = fixpoint engines only; gap reports are byte-identical\ntimeout:  cooperative run deadline in seconds (default:\n          SPECMATCHER_TIMEOUT, else none); on expiry the run degrades\n          to a partial report — settled verdicts are kept, unresolved\n          candidates are listed as unknown, and the report carries an\n          'incomplete:' line\nprofile:  append the structured span/counter tree to the report\n          (stderr under --json); --trace-out writes the same run as a\n          JSONL event stream (schema specmatcher-trace/1)\n\nexit codes: 0 = covered, 1 = coverage gap reported (complete, or\n                partial with at least one settled gap verdict),\n            2 = usage/specification error,\n            3 = engine resource refusal (state-space or BDD node\n                budget) or a partial run with no settled gap"
     );
+}
+
+/// Rejects every argument a command does not accept: each must be one of
+/// `valued` (followed by its value, which is skipped) or one of `bare`.
+/// Without this a typo such as `--job 1` would silently run with defaults.
+fn check_args(cmd: &str, args: &[String], valued: &[&str], bare: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !bare.contains(&arg.as_str()) {
+            return Err(format!("unknown option {arg:?} for {cmd}; try --help"));
+        }
+    }
+    Ok(())
 }
 
 fn option<'a>(args: &'a [String], key: &str) -> Option<&'a str> {
@@ -187,18 +201,6 @@ fn bmc_option(args: &[String]) -> Result<BmcMode, String> {
         None => Ok(BmcMode::Auto),
         Some(s) => {
             BmcMode::parse(s).ok_or_else(|| format!("unknown bmc mode {s:?}; use off or auto"))
-        }
-    }
-}
-
-fn reorder_option(args: &[String]) -> Result<ReorderMode, String> {
-    match option(args, "--reorder") {
-        None if args.iter().any(|a| a == "--reorder") => {
-            Err("--reorder needs a value: off or auto".into())
-        }
-        None => Ok(ReorderMode::Auto),
-        Some(s) => {
-            ReorderMode::parse(s).ok_or_else(|| format!("unknown reorder mode {s:?}; use off or auto"))
         }
     }
 }
@@ -341,9 +343,17 @@ fn find_design(name: &str) -> Result<Design, String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(
+        "check",
+        args,
+        &[
+            "--design", "--snl", "--spec", "--backend", "--partition", "--jobs", "--bmc",
+            "--timeout", "--trace-out",
+        ],
+        &["--json", "--profile"],
+    )?;
     let json = args.iter().any(|a| a == "--json");
     let backend = backend_option(args)?;
-    let reorder = reorder_option(args)?;
     let partition = partition_option(args)?;
     let jobs = jobs_option(args)?;
     let bmc = bmc_option(args)?;
@@ -351,7 +361,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, CliError> {
     arm_governance(args)?;
     let mut matcher = SpecMatcher::new(GapConfig::default())
         .with_backend(backend)
-        .with_reorder(reorder)
         .with_jobs(jobs)
         .with_bmc(bmc);
     if let Some(p) = partition {
@@ -472,15 +481,20 @@ fn parse_spec(src: &str, table: &mut SignalTable) -> Result<(NamedProps, NamedPr
 }
 
 fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args(
+        "table1",
+        args,
+        &["--backend", "--partition", "--jobs", "--bmc", "--timeout", "--trace-out"],
+        &["--quick", "--json", "--profile"],
+    )?;
     let backend = backend_option(args)?;
-    let reorder = reorder_option(args)?;
     let partition = partition_option(args)?;
     let jobs = jobs_option(args)?;
     let bmc = bmc_option(args)?;
     let (profile, trace_out) = trace_options(args)?;
     arm_governance(args)?;
     if args.iter().any(|a| a == "--quick") {
-        let code = cmd_table1_quick(backend, reorder, partition)?;
+        let code = cmd_table1_quick(backend, partition)?;
         emit_trace_sinks(profile, trace_out.as_deref(), false)?;
         return Ok(code);
     }
@@ -489,7 +503,6 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
     let mut matcher = SpecMatcher::new(GapConfig::default())
         .with_tm_style(TmStyle::Enumerated)
         .with_backend(backend)
-        .with_reorder(reorder)
         .with_jobs(jobs)
         .with_bmc(bmc);
     if let Some(p) = partition {
@@ -528,7 +541,6 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
                     gap_find: run.timings.gap_find,
                     backend: run.backend,
                     gap_backend: run.gap_backend,
-                    reorder: run.reorder,
                     jobs: run.jobs,
                     counters: run.counters,
                     bmc: run.bmc,
@@ -570,14 +582,12 @@ fn cmd_table1(args: &[String]) -> Result<ExitCode, CliError> {
 /// state-explosion cliff fails the run instead of silently slowing it.
 fn cmd_table1_quick(
     backend: Backend,
-    reorder: ReorderMode,
     partition: Option<PartitionMode>,
 ) -> Result<ExitCode, CliError> {
     use dic_core::{CoverageModel, SymbolicOptions};
 
-    let mut options = SymbolicOptions::from_env()
-        .map_err(|e| core_err(CoreError::Symbolic(e)))?
-        .with_reorder(reorder);
+    let mut options =
+        SymbolicOptions::from_env().map_err(|e| core_err(CoreError::Symbolic(e)))?;
     if let Some(p) = partition {
         options = options.with_partition(p);
     }
@@ -644,9 +654,7 @@ fn cmd_table1_quick(
     // gap report must fall back to the Theorem 2 hole with non-empty
     // uncovered terms.
     let smoke_matcher = || {
-        let mut m = SpecMatcher::new(GapConfig::default())
-            .with_backend(backend)
-            .with_reorder(reorder);
+        let mut m = SpecMatcher::new(GapConfig::default()).with_backend(backend);
         if let Some(p) = partition {
             m = m.with_partition(p);
         }
@@ -694,6 +702,7 @@ fn cmd_table1_quick(
 }
 
 fn cmd_fsm(args: &[String]) -> Result<ExitCode, CliError> {
+    check_args("fsm", args, &["--design"], &[])?;
     let name = option(args, "--design").ok_or("fsm needs --design <name>")?;
     let design = find_design(name)?;
     for module in design.rtl.concrete() {

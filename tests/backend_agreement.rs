@@ -217,3 +217,55 @@ fn bmc_modes_report_identical_gap_sets_on_pipeline() {
 fn bmc_modes_report_identical_gap_sets_on_amba_ahb() {
     assert_bmc_modes_agree(&specmatcher::designs::amba::ahb29());
 }
+
+/// Pins the per-phase `Backend::Auto` choices the two-axis crossover
+/// (state bits × predicted product width) makes for the packaged designs.
+#[test]
+fn auto_crossover_reflects_product_width() {
+    // Re-derived for the automaton reduction pipeline, and re-checked
+    // after the complement-edge BDD core: amba-ahb — 7 state bits, 29
+    // conjuncts, post-reduction predicted cost ≈ 1980 — runs its
+    // *explicit* gap phase in ~8 s (the reduced per-candidate closure
+    // automata are ~4x smaller). The anchored/partitioned symbolic
+    // engine cut its forced-symbolic run from ~230 s to under 20 s,
+    // still about 2x behind explicit, so Auto must keep resolving
+    // explicit for both phases; the pre-reduction crossover (800) sent
+    // it symbolic.
+    // (n=4 tuning caveat: the four packaged designs are the only
+    // calibration set for the 2600 threshold.)
+    let amba = specmatcher::designs::amba::ahb29();
+    let model = CoverageModel::build(&amba.arch, &amba.rtl, &amba.table).expect("builds");
+    assert_eq!(model.primary_backend(), Backend::Explicit, "amba primary");
+    assert_eq!(
+        model.gap_backend_choice(Backend::Auto),
+        Backend::Explicit,
+        "amba gap"
+    );
+    assert!(model.has_explicit(), "explicit structure carries Algorithm 1");
+
+    // The narrower pipeline design (12 properties, cost ≈ 350) stays
+    // explicit on both axes, as before.
+    let pipe = specmatcher::designs::pipeline::pipeline12();
+    let model = CoverageModel::build(&pipe.arch, &pipe.rtl, &pipe.table).expect("builds");
+    assert_eq!(model.primary_backend(), Backend::Explicit, "pipeline primary");
+    assert_eq!(
+        model.gap_backend_choice(Backend::Auto),
+        Backend::Explicit,
+        "pipeline gap"
+    );
+
+    // mal-ex2 (6 properties) likewise.
+    let ex2 = specmatcher::designs::mal::ex2();
+    let model = CoverageModel::build(&ex2.arch, &ex2.rtl, &ex2.table).expect("builds");
+    assert_eq!(model.primary_backend(), Backend::Explicit, "mal-ex2 primary");
+
+    // mal-26 still crosses over on the state-bit axis (17 bits > 14).
+    let mal26 = specmatcher::designs::mal::mal26();
+    let model = CoverageModel::build(&mal26.arch, &mal26.rtl, &mal26.table).expect("builds");
+    assert_eq!(model.primary_backend(), Backend::Symbolic, "mal-26 primary");
+    assert_eq!(
+        model.gap_backend_choice(Backend::Auto),
+        Backend::Symbolic,
+        "mal-26 gap"
+    );
+}

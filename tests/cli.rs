@@ -73,14 +73,35 @@ fn both_backends_honor_the_exit_code_contract() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("unknown backend"));
-    // So is an unknown reorder mode.
-    let out = specmatcher(&["check", "--design", "mal-ex1", "--reorder", "sometimes"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).expect("utf8");
-    assert!(stderr.contains("unknown reorder mode"));
-    // `--reorder off` still honors the verdict codes.
-    let out = specmatcher(&["check", "--design", "mal-ex1", "--reorder", "off"]);
-    assert_eq!(out.status.code(), Some(0));
+}
+
+#[test]
+fn unknown_options_are_usage_errors() {
+    // Every command rejects an argument it does not accept — a typo like
+    // `--job 1` must not run with defaults — naming the option. The
+    // removed `--reorder` flag is rejected the same way.
+    for (args, bad) in [
+        (&["check", "--design", "mal-ex1", "--bogus", "1"][..], "--bogus"),
+        (&["check", "--design", "mal-ex1", "--reorder", "off"], "--reorder"),
+        (&["check", "--design", "mal-ex1", "--job", "1"], "--job"),
+        (&["table1", "--quick", "--bogus"], "--bogus"),
+        (&["fsm", "--design", "mal-ex1", "--bogus"], "--bogus"),
+        (&["list", "--bogus"], "--bogus"),
+    ] {
+        let out = specmatcher(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be rejected");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains(&format!("unknown option {bad:?}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    // The flags scripts rely on still parse, values included.
+    let out = specmatcher(&[
+        "check", "--design", "mal-ex1", "--backend", "symbolic", "--jobs", "1", "--bmc", "auto",
+        "--partition", "auto", "--timeout", "600", "--json",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
 #[test]
@@ -126,6 +147,17 @@ fn invalid_node_limit_is_rejected_loudly() {
             stderr.contains("invalid SPECMATCHER_BDD_NODE_LIMIT"),
             "value {bad:?}: {stderr}"
         );
+    }
+    // Commands that never build a model audit it too.
+    for args in [&["list"][..], &["fsm", "--design", "mal-ex1"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))
+            .args(args)
+            .env("SPECMATCHER_BDD_NODE_LIMIT", "garbage")
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must refuse the bad limit");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(stderr.contains("invalid SPECMATCHER_BDD_NODE_LIMIT"), "{stderr}");
     }
     // Suffixed values are accepted (24M is exactly the default).
     let out = Command::new(env!("CARGO_BIN_EXE_specmatcher"))

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use specmatcher::core::{
-    Backend, CoverageModel, GapConfig, PartitionMode, ReorderMode, SpecMatcher, SymbolicOptions,
+    Backend, CoverageModel, GapConfig, PartitionMode, SpecMatcher, SymbolicOptions,
 };
 use specmatcher::core::{ArchSpec, RtlSpec};
 use specmatcher::logic::{BoolExpr, SignalId, SignalTable};
@@ -22,7 +22,7 @@ use specmatcher::ltl::Ltl;
 use specmatcher::netlist::{Module, ModuleBuilder, Simulator};
 
 /// Deterministically generates a small random module (same shape as the
-/// reorder-agreement suite, offset seeds so the two suites explore
+/// shared generator in `tests/common`, offset seeds so the suites explore
 /// different problems).
 fn random_module(rng: &mut XorShift64) -> (SignalTable, Module) {
     let mut t = SignalTable::new();
@@ -148,9 +148,7 @@ proptest! {
             CoverageModel::build_with_symbolic_options(&arch, &rtl, &t, Backend::Symbolic, opts)
                 .expect("symbolic model builds")
         };
-        // Reordering off in all three runs: this suite isolates the
-        // partitioning axis (the reorder suite covers the other one).
-        let base = SymbolicOptions::default().with_reorder(ReorderMode::Off);
+        let base = SymbolicOptions::default();
         let run_off = matcher
             .check_with_model(&arch, &rtl, &t, &build(
                 base.with_partition(PartitionMode::Off),
@@ -194,7 +192,7 @@ proptest! {
             SymbolicOptions {
                 partition: PartitionMode::Auto,
                 cluster_size: 2,
-                ..SymbolicOptions::default().with_reorder(ReorderMode::Off)
+                ..SymbolicOptions::default()
             },
         ).expect("symbolic model builds");
         for p in &run_tiny.properties {
